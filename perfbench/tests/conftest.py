@@ -1,0 +1,12 @@
+"""Put the repository root and ``src`` on the path for the benchmark's tests.
+
+Run from the repository root:  python3 -m pytest perfbench/tests -q
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
