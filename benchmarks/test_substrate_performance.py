@@ -26,16 +26,13 @@ import pytest
 from repro import ScenarioConfig, build_scenario
 from repro.bgp.collectors import collect_corpus
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import (
-    _compute_route_tree_legacy,
-    compute_route_tree,
-    plane_of,
-)
+from repro.bgp.propagation import compute_origin_routes, plane_of
 from repro.datasets.paths import PathCorpus
 from repro.inference.asrank import ASRank
 from repro.pipeline.cache import ArtifactCache
 from repro.service.query import corpus_stats_payload
 from repro.utils.benchreport import merge_bench_report
+from tests.oracles.propagation import _compute_route_tree_legacy
 
 #: name -> {"median_seconds": ..., "min_seconds": ..., ...}
 _RESULTS: Dict[str, Dict[str, Any]] = {}
@@ -72,7 +69,7 @@ def test_perf_route_tree(paper, benchmark):
 
     def run():
         for origin in origins:
-            compute_route_tree(adjacency, origin)
+            compute_origin_routes(adjacency, origin)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     _record("route_tree_50_origins", benchmark)
@@ -161,8 +158,8 @@ def test_perf_propagation_scale_sweep(benchmark, n_ases):
 
 
 def test_perf_engine_comparison_paper_scale(paper, benchmark):
-    """The vectorized engine must beat the legacy dict engine at paper
-    scale — the acceptance bar for shipping it as the default."""
+    """The vectorized engine must beat the dict oracle (the engine it
+    replaced) at paper scale — the acceptance bar for shipping it."""
     adjacency = AdjacencyIndex(paper.topology.graph)
     plane = plane_of(adjacency)
     origins = paper.topology.graph.asns()[:100]

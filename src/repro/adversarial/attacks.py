@@ -24,7 +24,7 @@ victim's prefix:
 Events are planned from the labelled stream ``adversarial.events`` of
 the scenario seed, so an :class:`repro.config.AttackConfig` is fully
 cache-keyable: same config, same topology → byte-identical polluted
-corpus on both propagation engines.
+corpus.
 
 Injection runs one **joint two-source propagation**
 (:func:`repro.bgp.propagation.compute_attack_routes`) per event: the
@@ -46,6 +46,7 @@ from repro.adversarial.policies import blocked_ases, resolve_deployments
 from repro.bgp.collectors import VantagePoint, routes_for_origin
 from repro.bgp.policy import AdjacencyIndex, RouteClass
 from repro.bgp.propagation import (
+    RouteArrays,
     compute_attack_routes,
     compute_origin_routes,
 )
@@ -99,7 +100,7 @@ def plan_events(
     routes Gao-Rexford forbids re-exporting upward) — intersected with
     the ``leak_prone`` deployment mask when one is configured.  A leak
     with no eligible leaker is skipped without consuming extra draws,
-    so the plan stays aligned across engines and configs.
+    so the plan stays aligned across configs.
     """
     adv = config.adversarial
     if adv is None or adv.attack.total_events() == 0:
@@ -195,7 +196,7 @@ class AttackView:
 
     def __init__(
         self,
-        routes,
+        routes: RouteArrays,
         event: AttackEvent,
         tag_override: Optional[RouteClass] = None,
     ) -> None:
@@ -213,14 +214,8 @@ class AttackView:
 
     def src_of(self, asn: int) -> int:
         """Provenance of an AS's best route (0 legit, 1 attack)."""
-        src_arr = getattr(self.routes, "src_arr", None)
-        if src_arr is not None:
-            i = self.routes.plane.id_or_none(asn)
-            return int(src_arr[i]) if i is not None else 0
-        src = getattr(self.routes, "src", None)
-        if src is not None:
-            return src.get(asn, 0)
-        return 0
+        i = self.routes.plane.id_or_none(asn)
+        return int(self.routes.src_arr[i]) if i is not None else 0
 
     def path_from(self, asn: int) -> Optional[Tuple[int, ...]]:
         base = self.routes.path_from(asn)

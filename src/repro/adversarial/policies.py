@@ -43,8 +43,7 @@ Deployment is partial and seeded.  A
 * ``explicit`` — exactly the listed ASes.
 
 Masks resolve to sorted ASN tuples, so deployment state is
-deterministic, cache-keyable, and independent of the propagation
-engine.
+deterministic and cache-keyable.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.bgp.collectors import (
 )
 from repro.bgp.lookingglass import LookingGlass, ReceivedRoute
 from repro.bgp.policy import AdjacencyIndex, RouteClass, exports_to_non_customers
-from repro.bgp.propagation import RouteTree, compute_route_tree, iter_route_trees
+from repro.bgp.propagation import RouteArrays, compute_origin_routes
 from repro.bgp.routingtable import RibEntry, RoutingTable
 
 __all__ = [
@@ -44,9 +44,8 @@ __all__ = [
     "AdjacencyIndex",
     "RouteClass",
     "exports_to_non_customers",
-    "RouteTree",
-    "compute_route_tree",
-    "iter_route_trees",
+    "RouteArrays",
+    "compute_origin_routes",
     "RibEntry",
     "RoutingTable",
 ]

@@ -203,12 +203,11 @@ class RouteCollector:
 
         Per-origin routes are computed lazily and discarded, so the
         memory footprint stays linear in the corpus, not quadratic in
-        the AS count.  With the default vectorized engine each origin
-        yields flat :class:`~repro.bgp.propagation.RouteArrays` columns
-        straight off the shared propagation plane — no dict trees are
-        materialised anywhere on this path.  Passing an existing
-        ``corpus`` merges this round
-        into it (duplicate paths are dropped by the corpus); passing an
+        the AS count.  Each origin yields flat
+        :class:`~repro.bgp.propagation.RouteArrays` columns straight off
+        the shared propagation plane.  Passing an existing ``corpus``
+        merges this round into it (duplicate paths are dropped by the
+        corpus); passing an
         ``adjacency`` overrides the topology view, which is how churn
         rounds inject link failures.
 

@@ -16,11 +16,13 @@ action communities that no collector ever sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.bgp.communities import Community, CommunityRegistry, Meaning
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_route_tree
+from repro.bgp.propagation import RouteArrays, compute_origin_routes
 from repro.topology.generator import Topology
 from repro.topology.graph import RelType
 
@@ -92,44 +94,54 @@ class LookingGlass:
     def _received_route(
         self, asn: int, neighbor: int, origin: int, link
     ) -> Optional[ReceivedRoute]:
-        tree = compute_route_tree(self.adjacency, origin)
-        if not tree.has_route(neighbor):
+        routes = compute_origin_routes(self.adjacency, origin)
+        if not routes.has_route(neighbor):
             return None
-        if not self._neighbor_would_export(asn, neighbor, origin, tree, link):
+        if not self._neighbor_would_export(neighbor, routes, link):
             return None
-        path = tree.path_from(neighbor)
+        path = routes.path_from(neighbor)
         assert path is not None
         if asn in path:
             return None  # loop prevention: asn would reject its own ASN
-        communities = self._communities_as_received(asn, neighbor, path, tree, link)
+        communities = self._communities_as_received(
+            asn, neighbor, path, routes, link
+        )
         return ReceivedRoute(origin=origin, path=path, communities=communities)
 
+    @staticmethod
     def _neighbor_would_export(
-        self, asn: int, neighbor: int, origin: int, tree, link
+        neighbor: int, routes: RouteArrays, link
     ) -> bool:
-        """Export policy of the neighbour towards ``asn``."""
+        """Export policy of the neighbour towards the queried AS."""
         if link.rel is RelType.P2C and link.provider == neighbor:
             # Neighbour is the provider: exports everything it uses.
             return True
-        pref = tree.pref[neighbor]
+        i = routes.plane.id_or_none(neighbor)
+        pref = RouteClass(int(routes.pref_arr[i]))
         if pref is RouteClass.SELF:
             return True
-        if pref is RouteClass.CUSTOMER and not tree.restricted.get(neighbor, False):
-            return True
-        return False
+        return pref is RouteClass.CUSTOMER and not routes.restricted_arr[i]
 
     def _communities_as_received(
-        self, asn: int, neighbor: int, path: Tuple[int, ...], tree, link
+        self,
+        asn: int,
+        neighbor: int,
+        path: Tuple[int, ...],
+        routes: RouteArrays,
+        link,
     ) -> Tuple[Community, ...]:
         """Tags present when the route lands in ``asn``'s Adj-RIB-In."""
         tags: List[Community] = []
         # Informational ingress tags along the path, subject to the same
         # stripping rule collectors face — except here nothing between
         # the neighbour and us can strip (it is a direct session), so the
-        # neighbour's own tag is always present.
-        for i in range(len(path) - 1):
-            tagger = path[i]
-            meaning = _CLASS_TO_MEANING.get(tree.pref[tagger])
+        # neighbour's own tag is always present.  Every hop of the path
+        # holds a route, so its class is one gather off the pref column.
+        taggers = path[:-1]
+        ids = np.searchsorted(routes.plane.asns, taggers)
+        classes = routes.pref_arr[ids].tolist()
+        for tagger, tagger_class in zip(taggers, classes):
+            meaning = _CLASS_TO_MEANING.get(RouteClass(tagger_class))
             if meaning is None:
                 continue
             tags.append(self.communities.codebook(tagger).encode(meaning))

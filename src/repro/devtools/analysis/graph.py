@@ -170,21 +170,18 @@ class ProjectGraph:
         """Human name for a function id: ``module:qualname``."""
         return fid.replace("::", ":", 1)
 
-    def forward_reachable(self, roots: Iterable[str],
-                          skip=None) -> Parents:
+    def forward_reachable(self, roots: Iterable[str]) -> Parents:
         """BFS over call edges from ``roots`` with parent pointers."""
         parents: Parents = {}
         queue: deque = deque()
         for root in sorted(set(roots)):
-            if root in self.functions and (skip is None or not skip(root)):
+            if root in self.functions:
                 parents[root] = (None, 0)
                 queue.append(root)
         while queue:
             current = queue.popleft()
             for callee, lineno in self.calls.get(current, ()):
                 if callee in parents:
-                    continue
-                if skip is not None and skip(callee):
                     continue
                 parents[callee] = (current, lineno)
                 queue.append(callee)

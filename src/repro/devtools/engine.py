@@ -66,10 +66,11 @@ class LintConfig:
     extra_allowed_imports: Tuple[str, ...] = ()
     #: Per-tree DEP001 allowances: a path *segment* -> extra imports
     #: files under that segment may use.  The benchmark and test trees
-    #: run under pytest (and benchmarks import their own conftest);
-    #: that dependency is real there and wrong everywhere else.
+    #: run under pytest (and benchmarks import their own conftest and
+    #: time runtime paths against the test oracles); that dependency is
+    #: real there and wrong everywhere else.
     tree_allowed_imports: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-        ("benchmarks", ("pytest", "conftest")),
+        ("benchmarks", ("pytest", "conftest", "tests.oracles")),
         ("tests", ("pytest", "conftest")),
     )
 
@@ -90,9 +91,6 @@ class LintConfig:
     perf_hot_names: Tuple[str, ...] = (
         "corpus", "paths", "routes", "route_tree", "links", "topology",
     )
-    #: Qualname substrings exempting a function from PERF0xx (the
-    #: legacy dict engine is the sanctioned scalar baseline).
-    perf_exempt_markers: Tuple[str, ...] = ("legacy",)
 
 
 @dataclass

@@ -105,7 +105,7 @@ if TYPE_CHECKING:
 
 #: Bump when a pipeline change alters any cached artifact's content
 #: without touching the library version (invalidates every entry).
-PIPELINE_CACHE_VERSION = "2"
+PIPELINE_CACHE_VERSION = "3"
 
 _META_FILE = "meta.json"
 _CORPUS_FILE = "corpus.npc"

@@ -26,7 +26,8 @@ storage with a numpy-backed columnar representation:
 
 Byte-identity contract
 ----------------------
-Every index reproduces the legacy incremental structures *exactly*,
+Every index reproduces the original incremental dict structures (kept
+as the test oracle ``tests/oracles.OraclePathCorpus``) *exactly*,
 including their dict insertion orders where those are observable:
 
 * the "first seen" AS order is the order of interleaved directed pair

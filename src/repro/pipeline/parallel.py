@@ -9,7 +9,8 @@ the output stream *indistinguishable* from the serial code:
 * origins are split into contiguous chunks and submitted in order;
 * results are yielded strictly in submission order (origin-major), so
   consumers observe the same sequence the serial loop produces;
-* inside a worker the same :func:`compute_route_tree` /
+* inside a worker the same
+  :func:`~repro.bgp.propagation.compute_origin_routes` /
   :func:`~repro.bgp.collectors.routes_for_origin` code runs, so each
   element is identical, not merely equivalent — the differential tests
   in ``tests/pipeline/`` assert byte-identical serialisations.
@@ -28,16 +29,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import (
-    RouteTree,
-    compute_origin_routes,
-    compute_route_tree,
-    plane_of,
-    propagation_engine,
-)
+from repro.bgp.propagation import compute_origin_routes, plane_of
 
 #: Per-process worker state, populated by the pool initializer.  Plain
 #: module globals are the standard multiprocessing idiom: the dict is
@@ -73,27 +68,6 @@ def _chunk(origins: Sequence[int], workers: int, chunk_size: Optional[int]) -> L
 # worker functions (module-level so they pickle under every start method)
 # ---------------------------------------------------------------------------
 
-def _prime_engine(adjacency: AdjacencyIndex) -> None:
-    """Build the propagation plane once per worker process.
-
-    The CSR compilation is the only super-per-origin cost of the
-    vectorized engine; doing it in the initializer keeps every chunk a
-    pure array pass (and keeps it out of per-chunk timing entirely).
-    """
-    if propagation_engine() == "vectorized":
-        plane_of(adjacency)
-
-
-def _init_tree_worker(adjacency: AdjacencyIndex) -> None:
-    _WORKER_STATE["adjacency"] = adjacency
-    _prime_engine(adjacency)
-
-
-def _tree_chunk(origins: Sequence[int]) -> List[RouteTree]:
-    adjacency = _WORKER_STATE["adjacency"]
-    return [compute_route_tree(adjacency, origin) for origin in origins]
-
-
 def _init_collect_worker(
     adjacency: AdjacencyIndex,
     vantage_points: Sequence[Any],
@@ -104,7 +78,10 @@ def _init_collect_worker(
     _WORKER_STATE["vantage_points"] = list(vantage_points)
     _WORKER_STATE["communities"] = communities
     _WORKER_STATE["strippers"] = strippers
-    _prime_engine(adjacency)
+    # Build the propagation plane once per worker process: the CSR
+    # compilation is the only super-per-origin cost, and doing it here
+    # keeps every chunk a pure array pass.
+    plane_of(adjacency)
 
 
 def _collect_chunk(origins: Sequence[int]) -> Any:
@@ -131,34 +108,6 @@ def _collect_chunk(origins: Sequence[int]) -> Any:
     return pack_route_slab(routes)
 
 
-def _run_chunked(
-    worker_fn: Callable[[Sequence[int]], Any],
-    initializer: Callable[..., None],
-    initargs: tuple,
-    origins: Sequence[int],
-    workers: int,
-    chunk_size: Optional[int],
-    unpack: Optional[Callable[[Any], List[Any]]] = None,
-) -> Iterator[Any]:
-    """Submit origin chunks to a fresh pool; yield results in order.
-
-    Futures are drained in submission order, which gives the
-    deterministic origin-major merge the differential tests rely on —
-    whatever order the workers *finish* in is invisible to the caller.
-    ``unpack`` decodes one chunk payload into its element list (used by
-    the slab-shipping collection path); without it the payload is
-    assumed to already be a list.
-    """
-    chunks = _chunk(origins, workers, chunk_size)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        futures = [pool.submit(worker_fn, chunk) for chunk in chunks]
-        for future in futures:
-            payload = future.result()
-            yield from unpack(payload) if unpack is not None else payload
-
-
 class ParallelPropagator:
     """Sharded route propagation behind the serial iteration API.
 
@@ -182,29 +131,6 @@ class ParallelPropagator:
         self.adjacency = adjacency
         self.workers = 0 if workers == 0 else resolve_workers(workers)
         self.chunk_size = chunk_size
-
-    def iter_route_trees(
-        self, origins: Optional[Iterable[int]] = None
-    ) -> Iterator[RouteTree]:
-        """Yield every origin's route tree in input (origin) order.
-
-        Drop-in replacement for
-        :func:`repro.bgp.propagation.iter_route_trees`; with
-        ``workers=0`` it *is* that loop.
-        """
-        origin_list = list(origins) if origins is not None else list(self.adjacency.asns)
-        if self.workers == 0 or len(origin_list) <= 1:
-            for origin in origin_list:
-                yield compute_route_tree(self.adjacency, origin)
-            return
-        yield from _run_chunked(
-            _tree_chunk,
-            _init_tree_worker,
-            (self.adjacency,),
-            origin_list,
-            self.workers,
-            self.chunk_size,
-        )
 
     def collect_routes(
         self,
@@ -234,12 +160,17 @@ class ParallelPropagator:
                     origin_routes, vantage_points, communities, strippers
                 )
             return
-        yield from _run_chunked(
-            _collect_chunk,
-            _init_collect_worker,
-            (self.adjacency, list(vantage_points), communities, strippers),
-            origin_list,
-            self.workers,
-            self.chunk_size,
-            unpack=unpack_route_slab,
-        )
+        # Futures are drained in submission order, which gives the
+        # deterministic origin-major merge the differential tests rely
+        # on — whatever order the workers *finish* in is invisible here.
+        chunks = _chunk(origin_list, self.workers, self.chunk_size)
+        with ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_collect_worker,
+            initargs=(
+                self.adjacency, list(vantage_points), communities, strippers,
+            ),
+        ) as pool:
+            futures = [pool.submit(_collect_chunk, chunk) for chunk in chunks]
+            for future in futures:
+                yield from unpack_route_slab(future.result())

@@ -50,6 +50,16 @@ _CLIQUE_ASN_POOL: Dict[Region, Tuple[int, ...]] = {
     Region.AFRINIC: (37100,),
 }
 
+#: Order in which the clique and hypergiant ASes are created, region by
+#: region (the order every preset declares them in).
+_SPECIAL_REGION_ORDER: Tuple[Region, ...] = (
+    Region.ARIN,
+    Region.RIPE,
+    Region.APNIC,
+    Region.LACNIC,
+    Region.AFRINIC,
+)
+
 #: Business types used to diversify stubs (§6: the S-T1 errors stem from
 #: "the broad aggregation of many diverse business models into a single
 #: Stub class").
@@ -296,8 +306,12 @@ class TopologyGenerator:
 
     def _create_ases(self) -> None:
         cfg = self.topo_cfg
-        # Clique members get their real-world-flavoured ASNs.
-        for region, count in cfg.clique_per_region.items():
+        # Clique members get their real-world-flavoured ASNs.  Both
+        # per-region mappings are walked in one declared region order:
+        # equal configs fingerprint equal whatever their dict insertion
+        # order, so they must draw the same topology too.
+        for region in _SPECIAL_REGION_ORDER:
+            count = cfg.clique_per_region.get(region, 0)
             pool = _CLIQUE_ASN_POOL[region]
             if count > len(pool):
                 raise ValueError(
@@ -306,8 +320,8 @@ class TopologyGenerator:
                 )
             for asn in pool[:count]:
                 self._add_node(region, Role.CLIQUE, asn=asn)
-        for region, count in cfg.hypergiants_per_region.items():
-            for _ in range(count):
+        for region in _SPECIAL_REGION_ORDER:
+            for _ in range(cfg.hypergiants_per_region.get(region, 0)):
                 self._add_node(region, Role.HYPERGIANT, business_type="cdn")
         counts = self._region_counts()
         for region, n_region in counts.items():

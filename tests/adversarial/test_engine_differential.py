@@ -4,8 +4,9 @@ byte regression.
 The acceptance bar of the adversarial PR:
 
 * across 8 seeds × {hijack, leak, RPKI-partial, ASPA-partial}, the
-  vectorized and legacy propagation engines produce **byte-identical**
-  polluted corpus artifacts;
+  vectorized propagation engine and the injected dict oracle
+  (``tests/oracles``) produce **byte-identical** polluted corpus
+  artifacts;
 * with no ``AttackConfig``, the clean seed-7 small-scenario artifacts
   (fingerprint, cache key, corpus.npc bytes, per-algorithm as-rel
   bytes) are unchanged from the pre-adversarial tree.
@@ -20,10 +21,10 @@ import pytest
 from repro import ScenarioConfig, small_scenario
 from repro.adversarial.attacks import plan_events
 from repro.bgp.collectors import collect_rounds, measurement_setup
-from repro.bgp.propagation import ENGINE_ENV
 from repro.config import AdversarialConfig
 from repro.pipeline.cache import ArtifactCache
 from repro.topology.generator import generate_topology
+from tests.oracles import dict_propagation
 
 SEEDS = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -59,7 +60,10 @@ VARIANTS = {
 CLEAN_FINGERPRINT = (
     "4612308419b8c9ca425897c7be9c3c388ff81d13e8794eeca764c8f89a0e7046"
 )
-CLEAN_CACHE_KEY = "14ee6390dead69251d94"
+# The cache key also hashes the pipeline cache version, so it moves with
+# every deliberate version bump (version 3: the region-order fix in the
+# topology generator) while the fingerprint and artifact bytes must not.
+CLEAN_CACHE_KEY = "8522e4325d05f2e56a7a"
 CLEAN_SHA256 = {
     "corpus": "92603a8e8de9c49c12657354de7e22902bfe711cc79c8eb8519d9cfb65d7edf7",
     "asrank": "7c657d28c9e8900a3572caa8f5cc433a6b3c3b021d99b3a81b91b052b0a8a1e3",
@@ -88,9 +92,7 @@ def _corpus_digest(topology, config, setup, cache_root) -> str:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_polluted_corpora_byte_identical_across_engines(
-    seed, tmp_path, monkeypatch
-):
+def test_polluted_corpora_byte_identical_across_engines(seed, tmp_path):
     clean_config = _base_config(seed)
     topology = generate_topology(clean_config)
     setup = measurement_setup(topology, clean_config)
@@ -101,16 +103,20 @@ def test_polluted_corpora_byte_identical_across_engines(
         )
         # The matrix is vacuous unless the plan actually fires events.
         assert plan_events(topology, config), (seed, variant)
-        for engine in ("vectorized", "legacy"):
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            digests[(variant, engine)] = _corpus_digest(
-                topology, config, setup,
-                tmp_path / f"{variant}-{engine}",
+        digests[(variant, "vectorized")] = _corpus_digest(
+            topology, config, setup, tmp_path / f"{variant}-vectorized"
+        )
+        with dict_propagation() as oracle_calls:
+            digests[(variant, "legacy")] = _corpus_digest(
+                topology, config, setup, tmp_path / f"{variant}-legacy"
             )
+        # Both passes of the collection ran on the oracle, or the gate
+        # would compare the runtime engine with itself.
+        assert oracle_calls["origin"] > 0, (seed, variant)
+        assert oracle_calls["attack"] > 0, (seed, variant)
         assert (
             digests[(variant, "vectorized")] == digests[(variant, "legacy")]
         ), f"engine mismatch for seed={seed} variant={variant}"
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
     clean_digest = _corpus_digest(
         topology, clean_config, setup, tmp_path / "clean"
     )

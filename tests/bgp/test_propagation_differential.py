@@ -1,7 +1,8 @@
-"""Differential and invariant proofs for the propagation engines.
+"""Differential and invariant proofs for the propagation engine.
 
 Three layers of evidence that the vectorized frontier-pass engine is
-the *same function* as the legacy dict engine, not merely similar:
+the *same function* as the dict oracle (``tests/oracles``), not merely
+similar:
 
 1. **Differential matrix** — randomized topologies over many seeds
    (partial-transit links, peering-dense cores, multi-homed stubs,
@@ -9,13 +10,14 @@ the *same function* as the legacy dict engine, not merely similar:
    AS-for-AS on ``pref``/``dist``/``parent``/``restricted``.
 2. **Byte identity** — full scenario builds on seeds 3/5/11 must
    produce byte-identical path corpora and as-rel files for
-   asrank/problink/toposcope under either engine (the PR-5
+   asrank/problink/toposcope whether the pipeline propagates on the
+   runtime engine or on the injected oracle (the PR-5
    equivalence-matrix pattern, extended across engines).
 3. **Invariants** — executable versions of the docstring contract
    (valley-free, loop-free, within-class shortest, lower-ASN
    tie-break, restricted routes never exported to peers/providers),
    checked against the *adjacency alone* so they hold independently of
-   the legacy engine.
+   the oracle.
 """
 
 from __future__ import annotations
@@ -25,18 +27,13 @@ import pytest
 
 from repro import ScenarioConfig, build_scenario
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import (
-    ENGINE_ENV,
-    RouteArrays,
-    _compute_route_tree_legacy,
-    compute_route_tree,
-    plane_of,
-    propagation_engine,
-)
+from repro.bgp.propagation import RouteArrays, plane_of
 from repro.datasets.asrel import write_asrel
 from repro.datasets.bgpdump import write_path_corpus
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
+from tests.oracles import dict_propagation, to_route_tree
+from tests.oracles.propagation import _compute_route_tree_legacy
 
 #: ≥ 20 seeded topologies, per the acceptance criteria.
 DIFFERENTIAL_SEEDS = tuple(range(24))
@@ -147,35 +144,19 @@ def random_policy_graph(seed: int) -> ASGraph:
 
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_engines_identical_on_random_topologies(seed):
-    """Vectorized and legacy engines agree AS-for-AS, every origin."""
+    """Vectorized engine and dict oracle agree AS-for-AS, every origin."""
     graph = random_policy_graph(seed)
     adj = AdjacencyIndex(graph)
     plane = plane_of(adj)
     for origin in adj.asns:
         legacy = _compute_route_tree_legacy(adj, origin)
-        vec = plane.propagate(origin).to_route_tree()
+        vec = to_route_tree(plane.propagate(origin))
         assert vec.pref == legacy.pref, f"pref mismatch, origin {origin}"
         assert vec.dist == legacy.dist, f"dist mismatch, origin {origin}"
         assert vec.parent == legacy.parent, f"parent mismatch, origin {origin}"
         assert (
             vec.restricted == legacy.restricted
         ), f"restricted mismatch, origin {origin}"
-
-
-def test_engine_switch_controls_compute_route_tree(monkeypatch, tiny_graph):
-    """``REPRO_PROPAGATION_ENGINE`` selects the engine; both dispatch
-    paths return equal trees and unknown values are rejected."""
-    adj = AdjacencyIndex(tiny_graph)
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert propagation_engine() == "vectorized"
-    vec_tree = compute_route_tree(adj, 10)
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    assert propagation_engine() == "legacy"
-    legacy_tree = compute_route_tree(adj, 10)
-    assert vec_tree == legacy_tree
-    monkeypatch.setenv(ENGINE_ENV, "dicts-of-fury")
-    with pytest.raises(ValueError, match="REPRO_PROPAGATION_ENGINE"):
-        propagation_engine()
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +172,11 @@ def _scenario_config(seed: int) -> ScenarioConfig:
 
 
 @pytest.mark.parametrize("seed", SCENARIO_SEEDS)
-def test_scenario_artifacts_byte_identical_across_engines(
-    seed, tmp_path, monkeypatch
-):
+def test_scenario_artifacts_byte_identical_across_engines(seed, tmp_path):
     """Corpus and as-rel outputs cannot depend on the engine."""
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    legacy = build_scenario(_scenario_config(seed))
-    monkeypatch.setenv(ENGINE_ENV, "vectorized")
+    with dict_propagation() as oracle_calls:
+        legacy = build_scenario(_scenario_config(seed))
+    assert oracle_calls["origin"] > 0, "the dict oracle never ran"
     vec = build_scenario(_scenario_config(seed))
 
     def corpus_bytes(scenario, name: str) -> bytes:
@@ -215,7 +194,7 @@ def test_scenario_artifacts_byte_identical_across_engines(
 
 
 # ---------------------------------------------------------------------------
-# layer 3: invariants, independent of the legacy engine
+# layer 3: invariants, independent of the oracle
 # ---------------------------------------------------------------------------
 
 def _neighbor_sets(adj: AdjacencyIndex):
@@ -330,13 +309,13 @@ def test_route_invariants_on_tiny_graph(tiny_graph):
 
 
 # ---------------------------------------------------------------------------
-# RouteArrays protocol (the duck-typed RouteTree surface)
+# RouteArrays protocol (the read surface of the dict RouteTree)
 # ---------------------------------------------------------------------------
 
 def test_route_arrays_protocol_matches_tree(tiny_graph):
     adj = AdjacencyIndex(tiny_graph)
     arrays = plane_of(adj).propagate(10)
-    tree = arrays.to_route_tree()
+    tree = to_route_tree(arrays)
     for asn in adj.asns:
         assert arrays.has_route(asn) == tree.has_route(asn)
         assert arrays.path_from(asn) == tree.path_from(asn)

@@ -73,12 +73,12 @@ class TestRoutingTable:
 
 class TestSingleSweepLock:
     """``RoutingTable.compute`` builds one adjacency/plane and sweeps;
-    its output is locked against the per-origin compatibility view."""
+    its output is locked against the per-origin dict view."""
 
     @pytest.mark.parametrize("asn", [10, 30, 50, 350])
     def test_matches_per_origin_route_trees(self, tiny_graph, asn):
         from repro.bgp.policy import AdjacencyIndex
-        from repro.bgp.propagation import compute_route_tree
+        from tests.oracles import compute_route_tree
 
         table = RoutingTable.compute(tiny_graph, asn)
         adjacency = AdjacencyIndex(tiny_graph)
@@ -99,11 +99,11 @@ class TestSingleSweepLock:
             e.origin for e in table.entries()
         )
 
-    def test_identical_under_both_engines(self, tiny_graph, monkeypatch):
-        from repro.bgp.propagation import ENGINE_ENV
+    def test_identical_under_both_engines(self, tiny_graph):
+        from tests.oracles import dict_propagation
 
-        monkeypatch.setenv(ENGINE_ENV, "legacy")
-        legacy = RoutingTable.compute(tiny_graph, 30)
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
+        with dict_propagation() as oracle_calls:
+            legacy = RoutingTable.compute(tiny_graph, 30)
+        assert oracle_calls["origin"] > 0
         vec = RoutingTable.compute(tiny_graph, 30)
         assert list(vec.entries()) == list(legacy.entries())

@@ -1,4 +1,4 @@
-"""Kernels: two hot-path offenders, one exempt, one unreachable."""
+"""Kernels: two hot-path offenders and one unreachable loop."""
 
 
 def accumulate(corpus):
@@ -13,13 +13,6 @@ def walk(paths):
     for i in range(len(paths)):  # PERF002: reachable from propagate
         out.append(paths[i])
     return out
-
-
-def legacy_total(corpus):
-    total = 0
-    for path in corpus.paths:  # exempt: qualname carries "legacy"
-        total += len(path)
-    return total
 
 
 def offline_report(corpus):

@@ -1,11 +1,11 @@
-"""Columnar vs legacy byte-equality matrix.
+"""Columnar vs dict-oracle byte-equality matrix.
 
 The columnar engine's hard invariant is that it changes *nothing* about
 the science: over several seeds, every inference algorithm must emit a
-byte-identical as-rel serialisation whether the corpus is columnar
-(default) or legacy (`REPRO_CORPUS_LAYOUT=legacy`-style dict indices),
-and the cache artifact written for either layout must be the same file,
-bit for bit.
+byte-identical as-rel serialisation whether the corpus answers from the
+columnar index (the runtime path) or from the eager dict indices of
+:class:`tests.oracles.OraclePathCorpus`, and the cache artifact written
+for either must be the same file, bit for bit.
 """
 
 import hashlib
@@ -15,12 +15,14 @@ import pytest
 from repro.bgp.collectors import collect_corpus
 from repro.config import ScenarioConfig
 from repro.datasets.asrel import write_asrel
-from repro.datasets.paths import PathCorpus
 from repro.inference.asrank import ASRank
+from repro.inference.base import infer_clique
+from repro.inference.features import LinkFeatureExtractor
 from repro.inference.problink import ProbLink
 from repro.inference.toposcope import TopoScope
 from repro.pipeline.cache import ArtifactCache
 from repro.topology.generator import generate_topology
+from tests.oracles import OraclePathCorpus, dict_corpus_filter
 
 SEEDS = (3, 5, 11)
 
@@ -41,14 +43,12 @@ def _config(seed: int) -> ScenarioConfig:
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda s: f"seed{s}")
 def corpora(request):
-    """(config, columnar corpus, legacy corpus) with identical routes."""
+    """(config, columnar corpus, oracle corpus) with identical routes."""
     config = _config(request.param)
     topology = generate_topology(config)
     columnar, _, _, _ = collect_corpus(topology, config)
-    assert columnar.columnar_index() is not None
-    legacy = PathCorpus(layout="legacy")
+    legacy = OraclePathCorpus()
     legacy.add_routes(columnar.routes())
-    assert legacy.columnar_index() is None
     assert len(legacy) == len(columnar)
     return config, columnar, legacy
 
@@ -65,10 +65,26 @@ def test_identical_relationships(corpora, algorithm, tmp_path):
     from_columnar = _asrel_bytes(
         factory().infer(columnar), tmp_path / "columnar.asrel"
     )
-    from_legacy = _asrel_bytes(
-        factory().infer(legacy), tmp_path / "legacy.asrel"
-    )
+    with dict_corpus_filter() as oracle_calls:
+        from_legacy = _asrel_bytes(
+            factory().infer(legacy), tmp_path / "legacy.asrel"
+        )
+    if algorithm == "toposcope":
+        # TopoScope's per-group sub-corpora stayed on the oracle.
+        assert oracle_calls["filter"] > 0
     assert from_columnar == from_legacy
+
+
+def test_discrete_features_match_per_link_oracle(corpora):
+    """The array-pass ``discrete_all`` on the columnar corpus equals the
+    per-link ``discrete`` read off the oracle's dict views (the
+    comparison ProbLink's features rest on)."""
+    _, columnar, legacy = corpora
+    clique = infer_clique(columnar)
+    batch = LinkFeatureExtractor(columnar, clique).discrete_all()
+    oracle = LinkFeatureExtractor(legacy, clique)
+    assert list(batch) == legacy.visible_links()
+    assert batch == {key: oracle.discrete(key) for key in batch}
 
 
 def test_identical_cache_artifact_fingerprints(corpora, tmp_path):

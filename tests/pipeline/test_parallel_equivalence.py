@@ -1,8 +1,8 @@
 """Differential tests: parallel execution must be invisible.
 
 The property under test is strict — not "statistically equivalent" but
-*byte-identical*: route trees, serialised path corpora, and inference
-outputs produced with worker processes must match the serial pipeline
+*byte-identical*: collected routes, serialised path corpora, and
+inference outputs produced with worker processes must match the serial pipeline
 exactly, across seeds and worker counts.  Anything weaker would let a
 perf refactor silently move the paper's numbers.
 """
@@ -14,9 +14,14 @@ from functools import lru_cache
 import pytest
 
 from repro import ParallelPropagator, ScenarioConfig, build_scenario
-from repro.bgp.collectors import collect_corpus
+from repro.bgp.collectors import (
+    RouteCollector,
+    collect_corpus,
+    measurement_setup,
+    routes_for_origin,
+)
 from repro.bgp.policy import AdjacencyIndex
-from repro.bgp.propagation import compute_route_tree, iter_route_trees
+from repro.bgp.propagation import compute_origin_routes
 from repro.datasets.asrel import write_asrel
 from repro.datasets.bgpdump import write_path_corpus
 from repro.topology.generator import generate_topology
@@ -54,45 +59,64 @@ def rels_bytes(rels, tmp_path, name: str) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def adjacency():
-    topology = generate_topology(tiny_config(seed=SEEDS[0]))
-    return AdjacencyIndex(topology.graph)
+def measurement():
+    """(topology, adjacency, (vps, communities, strippers)) of one seed."""
+    config = tiny_config(seed=SEEDS[0])
+    topology = generate_topology(config)
+    setup = measurement_setup(topology, config)
+    return topology, AdjacencyIndex(topology.graph), setup
 
 
 class TestRouteTrees:
+    """Per-origin route trees reduced to collector routes inside the
+    workers must arrive exactly as the serial loop produces them."""
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_trees_identical_for_every_worker_count(self, adjacency, workers):
+    def test_trees_identical_for_every_worker_count(
+        self, measurement, workers
+    ):
+        _, adjacency, setup = measurement
         origins = adjacency.asns[:60]
-        serial = [compute_route_tree(adjacency, o) for o in origins]
+        serial = list(
+            ParallelPropagator(adjacency).collect_routes(*setup, origins)
+        )
         parallel = list(
-            ParallelPropagator(adjacency, workers=workers).iter_route_trees(
-                origins
+            ParallelPropagator(adjacency, workers=workers).collect_routes(
+                *setup, origins
             )
         )
-        assert len(parallel) == len(serial)
-        for expected, got in zip(serial, parallel):
-            # Dataclass equality covers pref/dist/parent/restricted.
-            assert got == expected
-            # Dict equality ignores ordering, but downstream consumers
-            # iterate these dicts — demand the insertion order too.
-            assert list(got.pref) == list(expected.pref)
-            assert list(got.parent) == list(expected.parent)
-
-    def test_iter_route_trees_workers_argument(self, adjacency):
-        origins = adjacency.asns[:30]
-        serial = list(iter_route_trees(adjacency, origins))
-        parallel = list(iter_route_trees(adjacency, origins, workers=2))
+        assert serial
+        # Dataclass equality covers vp/origin/path/communities; list
+        # equality demands the origin-major, VP-order sequence too.
         assert parallel == serial
 
-    def test_single_origin_stays_in_process(self, adjacency):
+    def test_collect_workers_argument(self, measurement):
+        topology, adjacency, setup = measurement
+        origins = adjacency.asns[:30]
+        collector = RouteCollector(topology, *setup)
+        serial = collector.collect(origins)
+        parallel = collector.collect(origins, workers=2)
+        assert list(parallel.routes()) == list(serial.routes())
+
+    def test_single_origin_stays_in_process(self, measurement, monkeypatch):
+        _, adjacency, setup = measurement
         origin = adjacency.asns[0]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single origin must not start a pool")
+
         # len(origins) <= 1 short-circuits the pool entirely.
-        trees = list(
-            ParallelPropagator(adjacency, workers=4).iter_route_trees(
-                [origin]
+        monkeypatch.setattr(
+            "repro.pipeline.parallel.ProcessPoolExecutor", no_pool
+        )
+        routes = list(
+            ParallelPropagator(adjacency, workers=4).collect_routes(
+                *setup, [origin]
             )
         )
-        assert trees == [compute_route_tree(adjacency, origin)]
+        assert routes == routes_for_origin(
+            compute_origin_routes(adjacency, origin), *setup
+        )
 
 
 class TestCorpusEquivalence:

@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.metrics import confusion_for_links
 from repro.bgp.policy import AdjacencyIndex, RouteClass
-from repro.bgp.propagation import compute_route_tree
 from repro.datasets.asrel import RelationshipSet
 from repro.topology.graph import ASGraph, ASNode, Link, RelType, Role, link_key
 from repro.topology.regions import Region
 from repro.validation.cleaning import CleanedValidation, CleaningReport
+from tests.oracles import compute_route_tree
 
 # ---------------------------------------------------------------------------
 # strategies
