@@ -569,8 +569,8 @@ class ScenarioConfig:
         """A nested plain-data view with deterministic ordering.
 
         Two configs with equal fields produce byte-identical canonical
-        JSON regardless of how their dicts were built; the artifact
-        cache derives its content address from this.
+        JSON regardless of how their dicts were built; :meth:`fingerprint`
+        hashes it into the address scenario ids and cache entries share.
 
         The optional ``adversarial`` layer is omitted entirely when it
         is ``None``: an honest scenario canonicalises exactly as it did

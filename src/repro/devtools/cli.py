@@ -72,11 +72,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "filtered to callers under PREFIX) and exit")
     parser.add_argument("--analysis-cache", default=None, metavar="DIR",
                         help="directory for whole-program summary cache "
-                             "(default: $REPRO_CACHE_DIR or "
-                             "~/.cache/repro)")
-    parser.add_argument("--no-analysis-cache", action="store_true",
-                        default=False,
-                        help="disable the summary cache for this run")
+                             "(default: $REPRO_CACHE_DIR/analysis or "
+                             "~/.cache/repro/analysis)")
     parser.add_argument("--verbose", action="store_true", default=False,
                         help="also show baselined findings (text format)")
     parser.add_argument("--list-rules", action="store_true", default=False,
@@ -104,9 +101,7 @@ def _default_paths() -> List[str]:
 
 
 def _summary_cache(args: argparse.Namespace):
-    """The SummaryCache for this invocation, or None when disabled."""
-    if args.no_analysis_cache:
-        return None
+    """The SummaryCache for this invocation."""
     from repro.devtools.analysis.cache import (
         SummaryCache,
         default_cache_root,

@@ -4,18 +4,16 @@ Scenario building is deterministic: every artifact is a pure function
 of the :class:`~repro.config.ScenarioConfig` and the code that ran.
 That makes the expensive artifacts — the propagated path corpus, the
 inferred relationship sets, the cleaned validation sets — perfect cache
-entries keyed by a content address:
+entries named by the config's own fingerprint:
 
-    key = sha256(canonical-JSON(config) + code version)[:20]
+    key = fingerprint(config)[:20] + "-" + sha256(code version)[:8]
 
-The canonical JSON omits the adversarial layer when it is ``None``, so
-honest configs keep the fingerprints (and cache entries) they had
-before the adversarial subsystem existed; a config *with* an
-:class:`~repro.config.AdversarialConfig` canonicalises the full attack
-and deployment layer into the key, so polluted corpora are
-content-addressed apart from clean ones for free.
+so a scenario id (a fingerprint prefix, :mod:`repro.service.pool`)
+names its entry.  An adversarial layer is part of the fingerprint, so
+polluted corpora get entries apart from clean ones for free.
 
-Layout (one directory per scenario key under the cache root)::
+Layout (only directories named with 20 leading hex characters are
+entries; the lint summary cache in ``<root>/analysis`` is not one)::
 
     <root>/<key>/meta.json              fingerprint provenance + version
     <root>/<key>/corpus.npc             binary columnar path corpus
@@ -27,13 +25,12 @@ The root is ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``.
 
 Invalidation rules
 ------------------
-* **Code version**: the version string participates in the key, so any
-  bump orphans every old entry (they simply stop being addressed).  A
-  ``meta.json`` whose recorded version disagrees with the reader's is
-  treated as foreign and the whole entry is discarded — this catches
-  truncated keys and hand-edited caches.  Stores refresh a stale meta
-  record in place, so a foreign survivor can never pin a key into
-  recomputing forever.
+* **Code version**: the version's tag is part of the key, so any bump
+  orphans every old entry and two code versions sharing a root never
+  share an entry directory.  A ``meta.json`` that is not a JSON object
+  or records another version is foreign: the whole entry is discarded.
+  Stores refresh a stale meta record in place, so a foreign survivor
+  can never pin a key into recomputing forever.
 * **Corruption**: every load parses defensively; an unreadable artifact
   is deleted and reported as a miss, so a corrupted cache can only cost
   a recompute, never an error or a wrong result.
@@ -89,6 +86,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
@@ -106,6 +104,13 @@ if TYPE_CHECKING:
 #: Bump when a pipeline change alters any cached artifact's content
 #: without touching the library version (invalidates every entry).
 PIPELINE_CACHE_VERSION = "3"
+
+#: Fingerprint characters that start an entry name.
+_KEY_FINGERPRINT_CHARS = 20
+#: Entry directory names (``<fp20>-<tag>`` and older bare 20-hex keys).
+_ENTRY_NAME = re.compile(r"[0-9a-f]{20}")
+#: What ``config_for_fingerprint`` accepts: a fingerprint prefix.
+_FINGERPRINT_PREFIX = re.compile(r"[0-9a-f]{1,64}")
 
 _META_FILE = "meta.json"
 _CORPUS_FILE = "corpus.npc"
@@ -162,6 +167,9 @@ class ArtifactCache:
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_root()
         self.code_version = code_version or _code_version()
+        self._code_tag = hashlib.sha256(
+            self.code_version.encode("utf-8")
+        ).hexdigest()[:8]
         self.fs = fs if fs is not None else CacheFilesystem()
         self.lock_timeout = lock_timeout
         self.hits = 0
@@ -173,13 +181,9 @@ class ArtifactCache:
     # keys and entry management
     # ------------------------------------------------------------------
     def scenario_key(self, config: "ScenarioConfig") -> str:
-        """Stable content address of one scenario under this code."""
-        payload = {
-            "config": config.canonical_dict(),
-            "code": self.code_version,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+        """Entry name: the config's fingerprint prefix + this code's tag."""
+        fingerprint = config.fingerprint()[:_KEY_FINGERPRINT_CHARS]
+        return f"{fingerprint}-{self._code_tag}"
 
     def entry_lock(self, key: str) -> EntryLock:
         """The advisory cross-process writer lock for one entry."""
@@ -198,15 +202,20 @@ class ArtifactCache:
         except OSError:
             pass
 
+    def _read_meta(self, entry: Path) -> Optional[Dict[str, Any]]:
+        """The entry's ``meta.json`` record, or ``None`` when it is
+        missing, unparsable or not a JSON object."""
+        try:
+            meta = json.loads(self.fs.read_text(entry / _META_FILE))
+        except (OSError, ValueError):
+            return None
+        return meta if isinstance(meta, dict) else None
+
     def _entry_valid(self, key: str) -> bool:
         """Check the entry's meta record; purge foreign/broken entries."""
         entry = self._entry_dir(key)
-        meta_path = entry / _META_FILE
-        try:
-            meta = json.loads(self.fs.read_text(meta_path))
-            if meta.get("code") != self.code_version:
-                raise ValueError("code version mismatch")
-        except (OSError, ValueError):
+        meta = self._read_meta(entry)
+        if meta is None or meta.get("code") != self.code_version:
             self._discard(entry)
             return False
         return True
@@ -257,11 +266,7 @@ class ArtifactCache:
         except OSError:
             self.store_errors += 1
             return
-        meta_path = entry / _META_FILE
-        try:
-            existing = json.loads(self.fs.read_text(meta_path))
-        except (OSError, ValueError):
-            existing = None
+        existing = self._read_meta(entry)
         if existing is not None and existing.get("code") == self.code_version:
             return
         # Missing, unreadable, or recorded under different code: (re)write
@@ -272,7 +277,9 @@ class ArtifactCache:
             "fingerprint": config.fingerprint(),
             "config": config.canonical_dict(),
         }
-        self._publish_text(meta_path, json.dumps(meta, sort_keys=True, indent=1))
+        self._publish_text(
+            entry / _META_FILE, json.dumps(meta, sort_keys=True, indent=1)
+        )
 
     def _load(self, key: str, filename: str, reader) -> Optional[Any]:
         """Shared defensive-load path: validate entry, parse, recover."""
@@ -361,14 +368,15 @@ class ArtifactCache:
     # inspection / maintenance (the ``repro cache`` subcommand)
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
-        """One summary record per cache entry, newest last.
+        """One summary record per scenario entry, newest last.
 
         Robust against concurrent mutation: files (or whole entries)
         deleted between directory listing and ``stat`` are skipped, not
         raised.  Each record also reports crash/concurrency residue —
         ``stragglers`` (leftover ``.tmp`` files from interrupted
         writers) and ``locked`` (whether some process currently holds
-        the entry's advisory writer lock).
+        the entry's advisory writer lock).  A broken ``meta.json``
+        lists with ``None`` provenance.
         """
         if not self.root.is_dir():
             return []
@@ -378,7 +386,7 @@ class ArtifactCache:
         except OSError:
             return []
         for entry in candidates:
-            if entry.name == LOCK_DIR_NAME or not entry.is_dir():
+            if not _ENTRY_NAME.match(entry.name) or not entry.is_dir():
                 continue
             try:
                 children = sorted(entry.iterdir())
@@ -398,13 +406,7 @@ class ArtifactCache:
                     stragglers += 1
                 else:
                     files.append(child.name)
-            meta: Dict[str, Any] = {}
-            try:
-                meta = json.loads(self.fs.read_text(entry / _META_FILE))
-            except ValueError:
-                meta = {"code": "<unreadable>"}
-            except OSError:
-                meta = {}
+            meta = self._read_meta(entry)
             records.append(
                 {
                     "key": entry.name,
@@ -412,11 +414,9 @@ class ArtifactCache:
                     "stragglers": stragglers,
                     "locked": is_locked(self.root, entry.name),
                     "size_bytes": size,
-                    "code": meta.get("code"),
-                    "seed": meta.get("config", {}).get("seed"),
-                    "n_ases": meta.get("config", {})
-                    .get("topology", {})
-                    .get("n_ases"),
+                    "code": _field(meta, "code"),
+                    "seed": _field(meta, "config", "seed"),
+                    "n_ases": _field(meta, "config", "topology", "n_ases"),
                 }
             )
         return records
@@ -424,40 +424,33 @@ class ArtifactCache:
     def config_for_fingerprint(self, prefix: str) -> Optional["ScenarioConfig"]:
         """Resolve a scenario-fingerprint prefix back into its config.
 
-        Scans entry ``meta.json`` records (same code version only) for a
-        fingerprint starting with ``prefix`` and rebuilds the stored
-        canonical config.  This is the cross-process scenario-resolution
-        seam: a service worker that receives a scenario id admitted by a
-        *sibling* worker looks the config up here and then warm-admits
-        the same artifacts.  Returns ``None`` when nothing matches.
+        The cross-process scenario-resolution seam: a service worker
+        that receives a scenario id admitted by a *sibling* worker looks
+        the config up here and then warm-admits the same artifacts.
+        Only entry *names* are matched (this code version's, first in
+        sorted order), so one ``meta.json`` is read however many
+        entries exist.  Anything but 1–64 lowercase hex characters is
+        rejected before touching the filesystem.  Returns ``None`` when
+        nothing matches or the record is broken.
         """
         from repro.config import ConfigError, config_from_canonical
 
-        if not prefix or not self.root.is_dir():
+        if not _FINGERPRINT_PREFIX.fullmatch(prefix):
             return None
+        head, tag = prefix[:_KEY_FINGERPRINT_CHARS], f"-{self._code_tag}"
         try:
-            candidates = sorted(self.root.iterdir())
+            names = [name for name in os.listdir(self.root)
+                     if name.startswith(head) and name.endswith(tag)]
         except OSError:
             return None
-        for entry in candidates:
-            if entry.name == LOCK_DIR_NAME or not entry.is_dir():
-                continue
-            try:
-                meta = json.loads(self.fs.read_text(entry / _META_FILE))
-            except (OSError, ValueError):
-                continue
-            if meta.get("code") != self.code_version:
-                continue
-            fingerprint = meta.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint.startswith(
-                prefix
-            ):
-                continue
-            try:
-                return config_from_canonical(meta.get("config", {}))
-            except (ConfigError, TypeError, KeyError):
-                continue  # stale/foreign record; keep scanning
-        return None
+        meta = self._read_meta(self.root / min(names)) if names else None
+        fingerprint = _field(meta, "fingerprint")
+        if not isinstance(fingerprint, str) or not fingerprint.startswith(prefix):
+            return None
+        try:
+            return config_from_canonical(meta["config"])
+        except (ConfigError, KeyError):
+            return None
 
     def clear(self) -> int:
         """Remove every entry; returns the number of entries removed.
@@ -493,6 +486,15 @@ class ArtifactCache:
 
     def total_size(self) -> int:
         return sum(record["size_bytes"] for record in self.entries())
+
+
+def _field(record: Any, *path: str) -> Any:
+    """``record[path[0]][path[1]]...``; ``None`` past a non-object."""
+    for name in path:
+        if not isinstance(record, dict):
+            return None
+        record = record.get(name)
+    return record
 
 
 def resolve_cache(

@@ -292,8 +292,8 @@ class ReproService:
         entry = self.pool.get(sid)
         if entry is None:
             # Multi-worker seam: a sibling process may have admitted
-            # this scenario — its meta record in the shared artifact
-            # cache lets this worker warm-admit the same artifacts, so
+            # this scenario — the shared artifact-cache entry its id
+            # names lets this worker warm-admit the same artifacts, so
             # answers are invariant to which worker a client lands on.
             entry = await self.pool.admit_cached(sid)
         if entry is None:

@@ -2,8 +2,8 @@
 
 A :class:`ScenarioPool` owns up to ``capacity`` built
 :class:`~repro.scenario.Scenario` objects, keyed by the canonical
-fingerprint of their :class:`~repro.config.ScenarioConfig` (the same
-content address the artifact cache uses, truncated for URLs).  Three
+fingerprint of their :class:`~repro.config.ScenarioConfig`, truncated
+for URLs: the prefix that also starts their artifact-cache entry name.  Three
 properties make it safe to put behind a server:
 
 * **Single-flight builds** — concurrent requests for the same config
@@ -95,7 +95,7 @@ class ScenarioPool:
         #: cache vs. recomputed by propagation.
         self.warm_admissions = 0
         self.cold_admissions = 0
-        #: Scenario ids resolved through the shared cache's meta records
+        #: Scenario ids resolved through the shared cache entry they name
         #: (a sibling process admitted them first).
         self.cache_resolutions = 0
 
@@ -198,8 +198,8 @@ class ScenarioPool:
         """Admit a scenario by id through the shared artifact cache.
 
         Covers the multi-worker seam: a scenario built (and cached) by a
-        sibling process is unknown to this pool, but its ``meta.json``
-        in the shared cache records the full canonical config.  Resolve
+        sibling process is unknown to this pool, but the shared cache
+        entry its id names records the full canonical config.  Resolve
         the id there, verify it round-trips to the same fingerprint, and
         run the normal (warm, mmap-backed) admission.  Returns ``None``
         when no cache is attached or nothing matches.

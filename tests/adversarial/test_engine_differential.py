@@ -60,10 +60,11 @@ VARIANTS = {
 CLEAN_FINGERPRINT = (
     "4612308419b8c9ca425897c7be9c3c388ff81d13e8794eeca764c8f89a0e7046"
 )
-# The cache key also hashes the pipeline cache version, so it moves with
-# every deliberate version bump (version 3: the region-order fix in the
-# topology generator) while the fingerprint and artifact bytes must not.
-CLEAN_CACHE_KEY = "8522e4325d05f2e56a7a"
+# The cache key is the fingerprint prefix plus a tag of the code version,
+# so the tag moves with every deliberate pipeline cache version bump
+# (version 3: the region-order fix in the topology generator) while the
+# fingerprint and artifact bytes must not.
+CLEAN_CACHE_KEY = "4612308419b8c9ca4258-e3a856d4"
 CLEAN_SHA256 = {
     "corpus": "92603a8e8de9c49c12657354de7e22902bfe711cc79c8eb8519d9cfb65d7edf7",
     "asrank": "7c657d28c9e8900a3572caa8f5cc433a6b3c3b021d99b3a81b91b052b0a8a1e3",

@@ -202,8 +202,8 @@ def test_cli_whole_program_repo_is_clean(capsys, tmp_path):
     assert document["analysis"]["hits"] == document["analysis"]["modules"]
 
 
-def test_cli_call_graph_dump(capsys):
-    code = repro_main(["lint", "--no-analysis-cache",
+def test_cli_call_graph_dump(capsys, tmp_path):
+    code = repro_main(["lint", "--analysis-cache", str(tmp_path / "c"),
                        "--call-graph", "repro.bgp",
                        str(SRC / "bgp")])
     captured = capsys.readouterr()

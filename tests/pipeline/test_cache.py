@@ -9,16 +9,21 @@ are asserted here directly against :class:`ArtifactCache` and through
 
 from __future__ import annotations
 
+import json
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 import repro.scenario as scenario_module
-from repro import ScenarioConfig, build_scenario
-from repro.datasets.asrel import write_asrel
+from repro import ScenarioConfig, build_scenario, cli
+from repro.datasets.asrel import RelationshipSet, write_asrel
 from repro.datasets.bgpdump import write_path_corpus
 from repro.datasets.validationset import read_validation_set, write_validation_set
 from repro.pipeline.cache import ArtifactCache, default_cache_root, resolve_cache
+from repro.pipeline.fsops import CacheFilesystem
+from repro.service.pool import scenario_id
 from repro.validation.cleaning import MultiLabelPolicy
 
 SEEDS = (3, 5, 11)
@@ -79,9 +84,12 @@ class TestScenarioKey:
         assert old.scenario_key(config) != new.scenario_key(config)
 
     def test_key_is_stable_hex(self, tmp_path):
-        key = ArtifactCache(root=tmp_path).scenario_key(tiny_config(3))
-        assert len(key) == 20
-        int(key, 16)  # raises if not hex
+        config = tiny_config(3)
+        key = ArtifactCache(root=tmp_path).scenario_key(config)
+        fingerprint, tag = key.split("-")
+        assert fingerprint == config.fingerprint()[:20]
+        assert len(tag) == 8
+        int(tag, 16)  # raises if not hex
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +153,12 @@ class TestInvalidation:
     def test_stale_code_version_is_a_miss(self, tmp_path):
         scenario = cold_build(3)
         writer = ArtifactCache(root=tmp_path, code_version="A")
-        key = writer.scenario_key(scenario.config)
-        writer.store_corpus(key, scenario.corpus, scenario.config)
-        # Same key, newer code: the meta record disagrees, so the entry
-        # is treated as foreign, purged, and reported as a miss.
         reader = ArtifactCache(root=tmp_path, code_version="B")
+        # Code versions never share a key, so plant code A's record
+        # under code B's key by hand: the meta record disagrees, so the
+        # entry is treated as foreign, purged, and reported as a miss.
+        key = reader.scenario_key(scenario.config)
+        writer.store_corpus(key, scenario.corpus, scenario.config)
         assert reader.load_corpus(key) is None
         assert reader.misses == 1
         assert not (tmp_path / key).exists()
@@ -292,15 +301,15 @@ class TestCrashSafetyRegressions:
         version kept the stale version stamp and the key recomputed on
         every subsequent run, forever.
         """
-        import json
-
         scenario = cold_build(3)
         config = scenario.config
         stale = ArtifactCache(root=tmp_path, code_version="ancient")
-        key = stale.scenario_key(config)
+        current = ArtifactCache(root=tmp_path)
+        # Code versions never share a key: plant the stale record under
+        # the current key by hand.
+        key = current.scenario_key(config)
         stale.store_corpus(key, scenario.corpus, config)
 
-        current = ArtifactCache(root=tmp_path)
         assert current.load_corpus(key) is None, "stale code must miss"
         current.store_corpus(key, scenario.corpus, config)
         meta = json.loads((tmp_path / key / "meta.json").read_text())
@@ -337,3 +346,168 @@ class TestCrashSafetyRegressions:
             assert all(not f.endswith(".tmp") for f in record["files"])
         (record,) = cache.entries()
         assert record["locked"] is False
+
+
+# ---------------------------------------------------------------------------
+# fingerprint addressing: scenario ids name their entries
+# ---------------------------------------------------------------------------
+
+class CountingFilesystem(CacheFilesystem):
+    """Counts every ``meta.json`` read (and every other read)."""
+
+    def __init__(self) -> None:
+        self.meta_reads = 0
+        self.reads = 0
+
+    def read_text(self, path: Path) -> str:
+        self.reads += 1
+        if path.name == "meta.json":
+            self.meta_reads += 1
+        return super().read_text(path)
+
+    def run_reader(self, reader, path: Path):
+        self.reads += 1
+        return super().run_reader(reader, path)
+
+    def stat_size(self, path: Path) -> int:
+        self.reads += 1
+        return super().stat_size(path)
+
+
+def store_stub(cache: ArtifactCache, config: ScenarioConfig) -> str:
+    """A cheap entry for ``config``: its meta record plus a tiny as-rel."""
+    rels = RelationshipSet()
+    rels.set_p2c(10, 20)
+    key = cache.scenario_key(config)
+    cache.store_rels(key, "asrank", rels, config)
+    return key
+
+
+def write_meta(cache: ArtifactCache, key: str, text: str) -> None:
+    (cache.root / key).mkdir(parents=True, exist_ok=True)
+    (cache.root / key / "meta.json").write_text(text, encoding="utf-8")
+
+
+class TestFingerprintAddressing:
+    def test_resolution_reads_at_most_one_meta(self, tmp_path):
+        writer = ArtifactCache(root=tmp_path)
+        configs = [ScenarioConfig.small(seed=seed) for seed in range(60)]
+        for config in configs:
+            store_stub(writer, config)
+        fs = CountingFilesystem()
+        cache = ArtifactCache(root=tmp_path, fs=fs)
+        for config in (configs[0], configs[37], configs[-1]):
+            before = fs.meta_reads
+            resolved = cache.config_for_fingerprint(scenario_id(config))
+            assert fs.meta_reads - before <= 1
+            assert resolved.fingerprint() == config.fingerprint()
+        before = fs.meta_reads
+        assert cache.config_for_fingerprint("f" * 12) is None
+        assert fs.meta_reads - before <= 1
+
+    @pytest.mark.parametrize(
+        "sid", ["", "../x", "*", "[a]", "AB12", "a" * 65, "ab\n", "a b"]
+    )
+    def test_hostile_ids_touch_nothing(self, tmp_path, monkeypatch, sid):
+        store_stub(ArtifactCache(root=tmp_path), tiny_config(3))
+        fs = CountingFilesystem()
+        cache = ArtifactCache(root=tmp_path, fs=fs)
+        listings = []
+        real_listdir = os.listdir
+        monkeypatch.setattr(
+            os, "listdir", lambda *a: listings.append(a) or real_listdir(*a)
+        )
+        assert cache.config_for_fingerprint(sid) is None
+        assert fs.reads == 0 and listings == []
+
+    def test_full_fingerprint_must_match_beyond_the_name(self, tmp_path):
+        cache = ArtifactCache(root=tmp_path)
+        config = tiny_config(3)
+        store_stub(cache, config)
+        fingerprint = config.fingerprint()
+        resolved = cache.config_for_fingerprint(fingerprint)
+        assert resolved.fingerprint() == fingerprint
+        # Same 20-character entry name, different tail: not this config.
+        other = fingerprint[:20] + ("0" if fingerprint[20] != "0" else "1")
+        assert cache.config_for_fingerprint(other) is None
+
+    def test_other_code_versions_are_not_resolved(self, tmp_path):
+        config = tiny_config(3)
+        store_stub(ArtifactCache(root=tmp_path, code_version="A"), config)
+        reader = ArtifactCache(root=tmp_path, code_version="B")
+        assert reader.config_for_fingerprint(scenario_id(config)) is None
+        store_stub(reader, config)
+        assert reader.config_for_fingerprint(scenario_id(config)) == config
+
+
+# ---------------------------------------------------------------------------
+# a meta.json that parses to a non-object is a broken record, not a crash
+# ---------------------------------------------------------------------------
+
+class TestNonObjectMeta:
+    def test_build_scenario_records_a_miss_and_rebuilds(self, tmp_path):
+        config = tiny_config(3)
+        cache = ArtifactCache(root=tmp_path)
+        key = cache.scenario_key(config)
+        build_scenario(config, cache=cache)
+        write_meta(cache, key, "[1]")
+        misses = cache.misses
+        rebuilt = build_scenario(config, cache=cache)
+        assert not rebuilt.corpus_from_cache
+        assert cache.misses > misses
+        assert corpus_bytes(rebuilt.corpus, tmp_path, "got") == corpus_bytes(
+            cold_build(3).corpus, tmp_path, "ref"
+        )
+        meta = json.loads((tmp_path / key / "meta.json").read_text())
+        assert meta["code"] == cache.code_version
+        assert build_scenario(config, cache=cache).corpus_from_cache
+
+    @pytest.mark.parametrize("text", ["[1]", "7", '"x"', "null"])
+    def test_cache_list_lists_the_record(self, tmp_path, capsys, text):
+        cache = ArtifactCache(root=tmp_path)
+        good = store_stub(cache, tiny_config(3))
+        write_meta(cache, "0" * 20, text)
+        assert cli.main(
+            ["cache", "list", "--json", "--cache-dir", str(tmp_path)]
+        ) == 0
+        records = json.loads(capsys.readouterr().out)["entries"]
+        assert [r["key"] for r in records] == ["0" * 20, good]
+        assert records[0]["code"] is None and records[0]["seed"] is None
+        assert cli.main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
+        assert "seed=? ases=?" in capsys.readouterr().out
+
+    def test_other_entries_still_resolve(self, tmp_path):
+        cache = ArtifactCache(root=tmp_path)
+        config = tiny_config(3)
+        store_stub(cache, config)
+        sid = scenario_id(config)
+        write_meta(cache, "0" * 20, "[1]")  # sorts before every entry
+        assert cache.config_for_fingerprint(sid) == config
+        # A broken entry whose name the id also matches, sorting after.
+        tag = cache.scenario_key(config).split("-")[1]
+        write_meta(cache, f"{sid}ffffffff-{tag}", '{"a": 1}')
+        assert cache.config_for_fingerprint(sid) == config
+        assert cache.load_rels(cache.scenario_key(config), "asrank")
+
+
+# ---------------------------------------------------------------------------
+# only scenario entries are entries: the lint summary cache is not one
+# ---------------------------------------------------------------------------
+
+def test_entries_and_clear_skip_the_lint_summary_cache(tmp_path, monkeypatch):
+    from repro.devtools.analysis.cache import SummaryCache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    cache = ArtifactCache()
+    key = store_stub(cache, tiny_config(3))
+    legacy = "0123456789abcdef0123"  # a bare key of the older layout
+    write_meta(cache, legacy, '{"code": "old"}')
+    lint_cache = SummaryCache()  # $REPRO_CACHE_DIR/analysis
+    lint_cache.put("ab" * 32, {"analysis_version": "x"})
+    assert lint_cache.stores == 1
+    assert [r["key"] for r in cache.entries()] == [legacy, key]
+    assert cache.clear() == 2
+    assert cache.entries() == []
+    assert [p.name for p in lint_cache.root.rglob("*.json")] == [
+        f"{'ab' * 32}.json"
+    ]

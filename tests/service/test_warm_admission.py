@@ -15,6 +15,7 @@ Three contracts:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 from pathlib import Path
 
@@ -201,3 +202,32 @@ def test_mmap_load_is_zero_copy_by_rss(tmp_path):
     # deserialising path pays for every byte.
     assert mmap_delta < size * 0.25, (mmap_delta, size)
     assert copy_delta > size * 0.5, (copy_delta, size)
+
+
+def test_foreign_admission_survives_a_corrupt_sibling_entry(tmp_path):
+    """A non-object ``meta.json`` in another entry must not turn id
+    resolution into a 500, and hostile ids are plain unknown scenarios."""
+    config = ScenarioConfig.small(seed=7)
+    config.topology.n_ases = 150
+    config.measurement.n_vantage_points = 15
+    build_scenario(config, cache=ArtifactCache(tmp_path))
+    corrupt = tmp_path / ("0" * 20)  # sorts before the real entry
+    corrupt.mkdir()
+    (corrupt / "meta.json").write_text("[1]", encoding="utf-8")
+    sid = scenario_id(config)
+
+    service = ReproService(pool_size=1, cache=ArtifactCache(tmp_path))
+    with serve_in_thread(service) as live:
+        with ServiceClient(port=live.port, timeout=300.0) as client:
+            status, table = client.request_bytes(
+                "GET", f"/v1/table/asrank?scenario={sid}"
+            )
+            hostile, error = client.request_bytes(
+                "GET", "/v1/bias/asrank?scenario=../x"
+            )
+    assert status == 200, table
+    assert json.loads(table)["scenario"] == sid
+    assert hostile == 404
+    assert json.loads(error)["error"]["code"] == "unknown_scenario"
+    assert service.pool.cache_resolutions == 1
+    assert service.pool.warm_admissions == 1
